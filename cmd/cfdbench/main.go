@@ -1150,6 +1150,9 @@ func benchServeWindow(e scf.StreamingEstimator, cfar detect.CFAR, band []complex
 	if err != nil {
 		return 0, err
 	}
+	if b, ok := acc.(scf.WindowBounder); ok {
+		b.BoundWindow(len(band)) // as the engine's windowed mode does
+	}
 	// Pre-flight outside the timer: a window too short for this
 	// estimator's first snapshot is reported as zero, not an error (the
 	// sweep may include windows below an estimator's smoothing needs).

@@ -28,6 +28,14 @@ import (
 //     channelizer and conjugate product, the O(n·K·logK) bulk of the
 //     work) into per-channel product strips, and defers only the strip
 //     FFTs — O(strips·N·logN) — to Snapshot, where N is known.
+//
+// Both also implement scf.WindowBounder. In windowed serving the stream
+// engine resets an accumulator every n samples, so no snapshot reads
+// past the prefix a full n-sample window smooths: the FAM folds only its
+// first pow2floor((n-K)/Hop+1) hops, the SSCA extends its strips only to
+// pow2floor(n-K+1) positions, and the rest of each window is counted,
+// not processed. A cumulative stream has no such bound — the prefix
+// keeps growing with it — so every arriving hop is processed.
 
 // NewAccumulator implements scf.StreamingEstimator. Workers is ignored:
 // accumulators process hops in arrival order on the caller's goroutine
@@ -78,12 +86,14 @@ type famAccumulator struct {
 	// only the candidate rows under alpha pruning.
 	rowSet []int
 	// acc0/acc1 are the parity-split per-cell sums, indexed
-	// [i][f+M-1] with i positional in rowSet; ck0/ck1 are their copies
-	// at the last power-of-two hop count ckHops.
-	acc0, acc1 [][]complex128
-	ck0, ck1   [][]complex128
-	hops       int
-	ckHops     int
+	// [i][f+M-1] with i positional in rowSet; ck is acc0+acc1 at the last
+	// power-of-two hop count ckHops — the sum famRow forms from its two
+	// accumulators, so Snapshot only normalises it.
+	acc0, acc1, ck [][]complex128
+	hops           int
+	ckHops         int
+	// bound stops the fold at the smoothing prefix of a declared window.
+	bound hopBound
 
 	buf      []complex128 // unprocessed stream tail; buf[0] is sample bufStart
 	bufStart int
@@ -110,8 +120,7 @@ func (f *famAccumulator) init() {
 		}
 		return data
 	}
-	f.acc0, f.acc1 = grid(), grid()
-	f.ck0, f.ck1 = grid(), grid()
+	f.acc0, f.acc1, f.ck = grid(), grid(), grid()
 	f.spec = make([]complex128, f.p.K)
 	f.chn = make([]complex128, f.p.K)
 	f.chc = make([]complex128, f.p.K)
@@ -127,18 +136,40 @@ func (f *famAccumulator) Samples() int { return f.total }
 // hops of smoothing.
 func (f *famAccumulator) Ready() bool { return f.ckHops >= 2 }
 
+// BoundWindow implements scf.WindowBounder: a snapshot within an
+// n-sample window reads at most the first famSmoothing(n) hops, so the
+// accumulator folds only those and merely counts the window's remaining
+// samples.
+func (f *famAccumulator) BoundWindow(n int) {
+	f.bound.setWindow(n, famSmoothing(f.p, n))
+}
+
 // Push implements scf.Accumulator.
 func (f *famAccumulator) Push(samples []complex128) error {
-	f.buf = append(f.buf, samples...)
+	if err := f.bound.admit("FAM", f.total, len(samples)); err != nil {
+		return err
+	}
 	f.total += len(samples)
 	k, hop := f.p.K, f.p.Hop
 	for {
+		if f.bound.reached(f.hops) {
+			// Every hop the window's snapshot reads is folded.
+			f.buf, f.bufStart = f.buf[:0], f.total
+			return nil
+		}
 		start := f.hops * hop
 		if f.bufStart+len(f.buf) < start+k {
-			// Keep only what the next hop reads (compacting once per
-			// push keeps the cost linear in the chunk).
+			// Keep only what the next hop reads, then take at most K more
+			// samples: the buffer stays under 2K samples whatever the
+			// chunk size, and each sample is compacted O(1) times.
 			f.buf, f.bufStart = scf.TrimBefore(f.buf, f.bufStart, start)
-			return nil
+			if len(samples) == 0 {
+				return nil
+			}
+			n := min(len(samples), k)
+			f.buf = append(f.buf, samples[:n]...)
+			samples = samples[n:]
+			continue
 		}
 		block := f.buf[start-f.bufStart : start-f.bufStart+k]
 		if f.win != nil {
@@ -171,24 +202,38 @@ func (f *famAccumulator) Push(samples []complex128) error {
 		m := f.p.M - 1
 		mask := k - 1
 		for i, a := range f.rowSet {
-			row := tgt[i]
-			pi := (a - m) & mask
-			qi := (-a - m) & mask
-			for fi := range row {
-				row[fi] += f.chn[pi] * f.chc[qi]
-				pi = (pi + 1) & mask
-				qi = (qi + 1) & mask
-			}
+			foldRow(tgt[i], f.chn, f.chc, (a-m)&mask, (-a-m)&mask)
 		}
 		f.hops++
 		if f.hops&(f.hops-1) == 0 {
 			// Power-of-two hop count: checkpoint the prefix sums.
-			for a := range f.acc0 {
-				copy(f.ck0[a], f.acc0[a])
-				copy(f.ck1[a], f.acc1[a])
+			for i, ck := range f.ck {
+				c0, c1 := f.acc0[i][:len(ck)], f.acc1[i][:len(ck)]
+				for fi := range ck {
+					ck[fi] = c0[fi] + c1[fi]
+				}
 			}
 			f.ckHops = f.hops
 		}
+	}
+}
+
+// foldRow adds chn[pi+j]·chc[qi+j] to row[j] for every j, the bin
+// indices taken mod len(chn) (a power of two). It cuts the row into at
+// most three contiguous segments where either index wraps, so the inner
+// loop runs over re-sliced operands with neither masks nor bounds checks;
+// each cell still gains exactly one product per hop.
+func foldRow(row, chn, chc []complex128, pi, qi int) {
+	mask := len(chn) - 1
+	for len(row) > 0 {
+		n := min(len(row), len(chn)-pi, len(chc)-qi)
+		dst, ps, qs := row[:n], chn[pi:][:n], chc[qi:][:n]
+		for j := range dst {
+			dst[j] += ps[j] * qs[j]
+		}
+		row = row[n:]
+		pi = (pi + n) & mask
+		qi = (qi + n) & mask
 	}
 }
 
@@ -204,10 +249,9 @@ func (f *famAccumulator) Snapshot() (*scf.Surface, *scf.Stats, error) {
 	inv := complex(1/float64(np), 0)
 	s := scf.NewSurfaceFor(f.p)
 	for i, a := range f.rowSet {
-		row := s.Row(a)
-		c0, c1 := f.ck0[i], f.ck1[i]
+		row, ck := s.Row(a), f.ck[i]
 		for fi := range row {
-			row[fi] = (c0[fi] + c1[fi]) * inv
+			row[fi] = ck[fi] * inv
 		}
 	}
 	s.MirrorHermitian()
@@ -222,7 +266,7 @@ func (f *famAccumulator) Snapshot() (*scf.Surface, *scf.Stats, error) {
 
 // Reset implements scf.Accumulator.
 func (f *famAccumulator) Reset() {
-	for _, g := range [][][]complex128{f.acc0, f.acc1, f.ck0, f.ck1} {
+	for _, g := range [][][]complex128{f.acc0, f.acc1, f.ck} {
 		for _, row := range g {
 			for i := range row {
 				row[i] = 0
@@ -300,6 +344,7 @@ type sscaAccumulator struct {
 	rotIdx    []int          // per needed channel: running derotation index (v·hops mod K)
 	prods     [][]complex128 // per needed channel: product sequence, one entry per hop
 	hops      int
+	bound     hopBound // strips stop at the fixed N or a declared window's strip length
 
 	buf      []complex128
 	bufStart int
@@ -331,16 +376,31 @@ func (s *sscaAccumulator) init() {
 	}
 	s.rotIdx = make([]int, len(s.needed))
 	s.prods = make([][]complex128, len(s.needed))
-	if s.nFixed != 0 {
-		// The strip length is known up front: reserve it so the
-		// steady-state Push loop never reallocates a product slice.
-		cells := make([]complex128, 0, len(s.needed)*s.nFixed)
-		for i := range s.prods {
-			s.prods[i] = cells[:0:s.nFixed]
-			cells = cells[s.nFixed:s.nFixed]
-		}
-	}
+	s.bound = capHops(s.nFixed)
+	s.reserve()
 	s.spec = make([]complex128, s.p.K)
+}
+
+// reserve sizes every product strip for the hop cap, when there is one,
+// so the steady-state Push loop never reallocates a product slice.
+func (s *sscaAccumulator) reserve() {
+	n := s.bound.limit
+	if n == 0 || cap(s.prods[0]) >= n {
+		return
+	}
+	cells := make([]complex128, 0, len(s.needed)*n)
+	for i, p := range s.prods {
+		s.prods[i] = append(cells[:0:n], p...)
+		cells = cells[n:n]
+	}
+}
+
+// BoundWindow implements scf.WindowBounder: a snapshot within an
+// n-sample window spans at most the strip length n-K+1 positions afford,
+// so the strips stop there.
+func (s *sscaAccumulator) BoundWindow(n int) {
+	s.bound.setWindow(n, sscaStripLen(s.p.K, s.nFixed, n-s.p.K+1))
+	s.reserve()
 }
 
 // Name implements scf.Accumulator.
@@ -351,33 +411,28 @@ func (s *sscaAccumulator) Samples() int { return s.total }
 
 // stripLen returns the strip length a snapshot would use now, or 0 when
 // too few hops have arrived.
-func (s *sscaAccumulator) stripLen() int {
-	if s.nFixed != 0 {
-		if s.hops >= s.nFixed {
-			return s.nFixed
-		}
-		return 0
-	}
-	if n := pow2Floor(s.hops); n >= s.p.K {
-		return n
-	}
-	return 0
-}
+func (s *sscaAccumulator) stripLen() int { return sscaStripLen(s.p.K, s.nFixed, s.hops) }
 
 // Ready implements scf.Accumulator.
 func (s *sscaAccumulator) Ready() bool { return s.stripLen() != 0 }
 
 // Push implements scf.Accumulator.
 func (s *sscaAccumulator) Push(samples []complex128) error {
-	s.buf = append(s.buf, samples...)
+	if err := s.bound.admit("SSCA", s.total, len(samples)); err != nil {
+		return err
+	}
 	s.total += len(samples)
+	if s.bound.reached(s.hops) {
+		return nil
+	}
+	s.buf = append(s.buf, samples...)
 	k := s.p.K
 	centre := k / 2
 	for {
 		start := s.hops // unit hop: hop m starts at sample m
-		if s.nFixed != 0 && s.hops >= s.nFixed {
+		if s.bound.reached(s.hops) {
 			// Strips are complete; later samples can only be discarded
-			// (the fixed-N estimate spans the first N hops). Drop
+			// (every snapshot spans the first limit hops). Drop
 			// everything so memory stays flat; bufStart advances to the
 			// absolute index of the next sample to arrive.
 			s.buf = s.buf[:0]

@@ -94,6 +94,68 @@ func famDefaults(p scf.Params, defaultHop int) scf.Params {
 // n < 1 (fft.Pow2Floor, aliased for the package's call sites).
 func pow2Floor(n int) int { return fft.Pow2Floor(n) }
 
+// famSmoothing returns the FAM smoothing length P of an n-sample input:
+// the largest power of two not exceeding its whole channelizer hops, or 0
+// below the two hops an estimate needs.
+func famSmoothing(p scf.Params, n int) int {
+	if n < p.K+p.Hop {
+		return 0
+	}
+	return pow2Floor((n-p.K)/p.Hop + 1)
+}
+
+// sscaStripLen returns the SSCA strip length over the first hops unit-hop
+// positions: the fixed N once that many have arrived, otherwise the
+// largest power of two not below K — or 0 when a strip is not complete.
+func sscaStripLen(k, nFixed, hops int) int {
+	if nFixed != 0 {
+		if hops >= nFixed {
+			return nFixed
+		}
+		return 0
+	}
+	if n := pow2Floor(hops); n >= k {
+		return n
+	}
+	return 0
+}
+
+// hopBound caps the channelizer hops a streaming accumulator processes:
+// SSCA's fixed strip length N, or — once scf.WindowBounder declares the
+// window — the smoothing prefix a full window's snapshot reads.
+type hopBound struct {
+	base   int // cap without a window: SSCA's fixed N, else 0 (none)
+	limit  int // cap in force; 0 = none
+	window int // declared window in samples; 0 = unbounded
+}
+
+// capHops returns a bound that stops at n hops (0 = none) until a window
+// is declared.
+func capHops(n int) hopBound { return hopBound{base: n, limit: n} }
+
+// setWindow bounds the accumulator to an n-sample window whose full
+// snapshot reads the first prefix hops. prefix 0 — a window too short for
+// a snapshot — leaves it unbounded.
+func (b *hopBound) setWindow(n, prefix int) {
+	b.limit, b.window = b.base, 0
+	if prefix > 0 {
+		b.limit, b.window = prefix, n
+	}
+}
+
+// reached reports whether hops has reached the cap.
+func (b hopBound) reached(hops int) bool { return b.limit != 0 && hops >= b.limit }
+
+// admit refuses a push of more samples after total that would overrun
+// the declared window.
+func (b hopBound) admit(name string, total, more int) error {
+	if b.window != 0 && total+more > b.window {
+		return fmt.Errorf("fam: %s accumulator is bounded to a %d-sample window; pushing %d after %d overruns it (Reset first)",
+			name, b.window, more, total)
+	}
+	return nil
+}
+
 // needSamples formats the standard too-short error.
 func needSamples(name string, need, have int) error {
 	return fmt.Errorf("fam: %s needs >= %d samples, have %d", name, need, have)

@@ -51,12 +51,8 @@ func (e FAM) Estimate(x []complex128) (*scf.Surface, *scf.Stats, error) {
 	if err := p.Validate(); err != nil {
 		return nil, nil, err
 	}
-	hops := 0
-	if len(x) >= p.K {
-		hops = (len(x)-p.K)/p.Hop + 1
-	}
-	np := pow2Floor(hops)
-	if np < 2 {
+	np := famSmoothing(p, len(x))
+	if np == 0 {
 		return nil, nil, needSamples("FAM", p.K+p.Hop, len(x))
 	}
 	var win []float64

@@ -89,12 +89,8 @@ func (e FAMQ15) EstimateQ15(x []complex128) (*scf.QSurface, *scf.Stats, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	hops := 0
-	if len(x) >= p.K {
-		hops = (len(x)-p.K)/p.Hop + 1
-	}
-	np := pow2Floor(hops)
-	if np < 2 {
+	np := famSmoothing(p, len(x))
+	if np == 0 {
 		return nil, nil, needSamples("FAM-Q15", p.K+p.Hop, len(x))
 	}
 	win, err := fft.FixedWindow(p.Window, p.K)

@@ -29,7 +29,8 @@ import (
 // sequence of channelizeQ15 — and defer alignment and the second stage
 // to Snapshot, where they run the same shared finish code as the batch
 // path (famQ15Finish / sscaQ15Finish). Banked rows cost 4·K bytes per
-// hop: bounded by N for SSCAQ15 with N set, stream-proportional
+// hop: bounded by N for SSCAQ15 with N set, or by the smoothing prefix
+// of a window declared through scf.WindowBounder, and stream-proportional
 // otherwise (long-running monitors should set N or Reset between
 // windows, as with the float SSCA).
 
@@ -44,8 +45,10 @@ type q15Front struct {
 	policy fft.ScalingPolicy
 	gain   float64
 
-	rows [][]fixed.Complex // banked downconverted hops, hop-major
-	exps []int             // per-hop BFP exponents
+	rows  [][]fixed.Complex // banked downconverted hops, hop-major
+	exps  []int             // per-hop BFP exponents
+	bound hopBound          // banking stops at the fixed N or a declared window's prefix
+	name  string
 
 	xq    []fixed.Complex // quantised pending tail; xq[0] is sample base
 	base  int
@@ -87,6 +90,7 @@ func newQ15Front(p scf.Params, scale, peak float64, policy fft.ScalingPolicy, na
 		win:    win,
 		policy: policy,
 		gain:   backoff / peak,
+		name:   name,
 	}, nil
 }
 
@@ -95,13 +99,21 @@ func newQ15Front(p scf.Params, scale, peak float64, policy fft.ScalingPolicy, na
 // batch words — and completes every hop the buffered tail now covers
 // (hop h spans samples [h·hop, h·hop+K)).
 func (q *q15Front) push(samples []complex128, hop int) error {
+	if err := q.bound.admit(q.name, q.total, len(samples)); err != nil {
+		return err
+	}
+	q.total += len(samples)
+	if q.bound.reached(len(q.rows)) {
+		// Every hop a snapshot reads is banked; later samples are only
+		// counted.
+		return nil
+	}
 	g := complex(q.gain, 0)
 	for _, s := range samples {
 		q.xq = append(q.xq, fixed.CFromFloat(s*g))
 	}
-	q.total += len(samples)
 	k := q.p.K
-	for {
+	for !q.bound.reached(len(q.rows)) {
 		start := len(q.rows) * hop
 		if q.base+len(q.xq) < start+k {
 			return nil
@@ -114,6 +126,7 @@ func (q *q15Front) push(samples []complex128, hop int) error {
 		q.rows = append(q.rows, row)
 		q.exps = append(q.exps, exp)
 	}
+	return nil
 }
 
 // trim drops quantised samples before absolute index keepFrom.
@@ -200,6 +213,12 @@ func (f *famQ15Accumulator) Samples() int { return f.front.total }
 // Ready implements scf.Accumulator: the batch path needs two hops.
 func (f *famQ15Accumulator) Ready() bool { return len(f.front.rows) >= 2 }
 
+// BoundWindow implements scf.WindowBounder: banking stops at the
+// smoothing prefix famSmoothing(n) of an n-sample window.
+func (f *famQ15Accumulator) BoundWindow(n int) {
+	f.front.bound.setWindow(n, famSmoothing(f.front.p, n))
+}
+
 // Push implements scf.Accumulator.
 func (f *famQ15Accumulator) Push(samples []complex128) error {
 	if err := f.front.push(samples, f.front.p.Hop); err != nil {
@@ -261,6 +280,7 @@ func (e SSCAQ15) NewAccumulator() (scf.Accumulator, error) {
 	if err != nil {
 		return nil, err
 	}
+	front.bound = capHops(e.N)
 	return &sscaQ15Accumulator{front: front, nFixed: e.N}, nil
 }
 
@@ -286,34 +306,26 @@ func (s *sscaQ15Accumulator) Samples() int { return s.front.total }
 // stripLen returns the strip length a snapshot would use now, or 0 when
 // too few hops have arrived.
 func (s *sscaQ15Accumulator) stripLen() int {
-	hops := len(s.front.rows)
-	if s.nFixed != 0 {
-		if hops >= s.nFixed {
-			return s.nFixed
-		}
-		return 0
-	}
-	if n := pow2Floor(hops); n >= s.front.p.K {
-		return n
-	}
-	return 0
+	return sscaStripLen(s.front.p.K, s.nFixed, len(s.front.rows))
 }
 
 // Ready implements scf.Accumulator.
 func (s *sscaQ15Accumulator) Ready() bool { return s.stripLen() != 0 }
 
+// BoundWindow implements scf.WindowBounder: banking stops at the strip
+// length an n-sample window affords.
+func (s *sscaQ15Accumulator) BoundWindow(n int) {
+	q := s.front
+	q.bound.setWindow(n, sscaStripLen(q.p.K, s.nFixed, n-q.p.K+1))
+}
+
 // Push implements scf.Accumulator. The quantised prefix is retained in
 // full (the conjugate factor reads it back to sample centre and the
-// strip length can still grow), except in fixed-N mode once the N hops
-// and their conjugate span are complete, after which arriving samples
-// only advance the counter.
+// strip length can still grow), except once the hops of the fixed N or
+// of a bounded window are banked, after which arriving samples only
+// advance the counter.
 func (s *sscaQ15Accumulator) Push(samples []complex128) error {
-	q := s.front
-	if s.nFixed != 0 && len(q.rows) >= s.nFixed {
-		q.total += len(samples)
-		return nil
-	}
-	return q.push(samples, 1)
+	return s.front.push(samples, 1)
 }
 
 // SnapshotQ15 computes the surface in its native Q15-plus-exponent

@@ -47,6 +47,22 @@ type Accumulator interface {
 	Reset()
 }
 
+// WindowBounder is an optional Accumulator extension for windowed
+// operation. BoundWindow(n) declares that the accumulator will be Reset
+// before it receives more than n samples, so it may skip work no snapshot
+// within such a window reads: the FAM and SSCA accumulators stop at the
+// smoothing prefix a full n-sample window affords, instead of folding
+// hops that only a longer stream would smooth. Snapshots stay
+// bit-identical to the batch estimate over every prefix of up to n
+// samples. A bounded accumulator rejects a Push that would take it past n
+// samples; the bound survives Reset. A window too short for a first
+// snapshot leaves the accumulator unbounded, because the stream engine
+// keeps integrating past a boundary it cannot decide at. Call it on a
+// fresh accumulator.
+type WindowBounder interface {
+	BoundWindow(samples int)
+}
+
 // StreamingEstimator is an Estimator that can also maintain incremental
 // state. All three estimators of this reproduction (Direct, fam.FAM,
 // fam.SSCA) implement it.

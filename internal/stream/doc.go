@@ -42,8 +42,16 @@
 // By default every decision covers its own window: the accumulator is
 // reset after each snapshot, so a licensed user appearing in the band
 // shows up in the next window's decision, bounded memory for all
-// estimators. With Config.Cumulative the accumulator keeps integrating
-// across snapshots — the variance of the estimate keeps shrinking, the
-// mode used for the streaming-equals-batch golden tests and for
-// one-shot captures fed incrementally.
+// estimators. Because the window length is then known up front, the
+// engine also bounds each accumulator to it (scf.WindowBounder): fam and
+// ssca snapshots smooth only the largest power-of-two prefix of hops a
+// window affords, so those accumulators fold only that prefix and merely
+// count the window's remaining samples — about half the FAM fold on a
+// 16384-sample window (128 of 253 hops) — with decisions unchanged.
+// With Config.Cumulative the accumulator keeps integrating across
+// snapshots — the variance of the estimate keeps shrinking, the mode
+// used for the streaming-equals-batch golden tests and for one-shot
+// captures fed incrementally. It cannot skip any hop: every later
+// snapshot's prefix grows past the current one, so each hop is folded
+// as it arrives.
 package stream

@@ -115,9 +115,12 @@ type Decision struct {
 	Channel string
 	// Seq is the 0-based decision index within the channel.
 	Seq int64
-	// WindowSamples is the number of samples the underlying surface
-	// integrates (one window in windowed mode, the whole stream so far
-	// in cumulative mode).
+	// WindowSamples is the number of samples the decision window spans:
+	// those pushed since the accumulator was last reset (one window in
+	// windowed mode, the whole stream so far in cumulative mode). The
+	// direct surface integrates all of them; fam and ssca smooth only a
+	// power-of-two prefix — K+(P-1)·Hop samples for P channelizer hops,
+	// N+K-1 for an ssca strip of length N — and ignore the rest.
 	WindowSamples int
 	// TotalSamples is the cumulative sample count the channel has
 	// processed when the decision was made.
@@ -256,7 +259,7 @@ func New(cfg Config) (*Engine, error) {
 			cfg.RingSamples, cfg.SnapshotSamples)
 	}
 	// Surface estimator misconfiguration now rather than at AddChannel.
-	if _, err := accumulatorFor(cfg.Estimator, cfg.AlphaCandidates); err != nil {
+	if _, err := accumulatorFor(cfg.Estimator, cfg.AlphaCandidates, 0); err != nil {
 		return nil, err
 	}
 	dec, err := deciderFor(cfg)
@@ -282,8 +285,11 @@ func New(cfg Config) (*Engine, error) {
 // accumulatorFor builds a fresh accumulator, restricted to the given
 // alpha-candidate set when one is supplied. Estimators that cannot prune
 // (no scf.CandidateEstimator implementation) are rejected rather than
-// silently computing the full plane.
-func accumulatorFor(est scf.StreamingEstimator, alphas []int) (scf.Accumulator, error) {
+// silently computing the full plane. A positive window bounds the
+// accumulator to it (scf.WindowBounder), when the accumulator supports
+// that: windowed mode resets it every window samples, so it may skip the
+// work no snapshot within a window reads.
+func accumulatorFor(est scf.StreamingEstimator, alphas []int, window int) (scf.Accumulator, error) {
 	if len(alphas) > 0 {
 		ce, ok := est.(scf.CandidateEstimator)
 		if !ok {
@@ -295,7 +301,14 @@ func accumulatorFor(est scf.StreamingEstimator, alphas []int) (scf.Accumulator, 
 		}
 		est = pruned
 	}
-	return est.NewAccumulator()
+	acc, err := est.NewAccumulator()
+	if err != nil {
+		return nil, err
+	}
+	if b, ok := acc.(scf.WindowBounder); ok && window > 0 {
+		b.BoundWindow(window)
+	}
+	return acc, nil
 }
 
 // deciderFor resolves the engine's default decision layer: the
@@ -344,7 +357,11 @@ func (e *Engine) AddChannelDecider(id string, alphas []int, dec detect.Decider) 
 	if alphas == nil {
 		alphas = e.cfg.AlphaCandidates
 	}
-	acc, err := accumulatorFor(e.cfg.Estimator, alphas)
+	window := 0
+	if !e.cfg.Cumulative {
+		window = e.cfg.SnapshotSamples
+	}
+	acc, err := accumulatorFor(e.cfg.Estimator, alphas, window)
 	if err != nil {
 		return err
 	}

@@ -526,3 +526,89 @@ func TestEngineCumulativeKeepsIntegrating(t *testing.T) {
 		}
 	}
 }
+
+// TestEngineWindowBoundMatchesBatch: in windowed mode the engine bounds
+// each accumulator to SnapshotSamples, so FAM/SSCA fold only the prefix a
+// window's snapshot smooths — and on a window that is not a power of two
+// of hops every decision still equals the batch statistic over its own
+// window, including the partial window RemoveChannel flushes. Cumulative
+// mode builds unbounded accumulators and keeps matching the batch
+// estimate over the growing prefix.
+func TestEngineWindowBoundMatchesBatch(t *testing.T) {
+	const window = 3000 // 184 FAM hops, smoothed over 128; 2937 SSCA positions, strip 2048
+	p := scf.Params{K: 64, M: 16}
+	estimators := map[string]scf.StreamingEstimator{
+		"fam":     fam.FAM{Params: p},
+		"ssca":    fam.SSCA{Params: p},
+		"fam-q15": fam.FAMQ15{Params: p, InputPeak: 2},
+	}
+	for name, est := range estimators {
+		for _, cumulative := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%s/cumulative=%v", name, cumulative), func(t *testing.T) {
+				acc, err := accumulatorFor(est, nil, window)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := acc.Push(make([]complex128, window+1)); err == nil {
+					t.Fatal("accumulator built for a window accepted a push past it")
+				}
+				e, err := New(Config{
+					Estimator:       est,
+					SnapshotSamples: window,
+					Block:           true,
+					Cumulative:      cumulative,
+					Threshold:       0.25, // fixed-threshold mode: statistic is CFDStatistic
+					MinAbsA:         2,
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				band := bpskBand(t, 3*window+window/2, 8.0/64, 6, 78)
+				if err := e.AddChannel("w"); err != nil {
+					t.Fatal(err)
+				}
+				for i, c := 0, 0; i < len(band); c++ {
+					n := min([]int{1, 700, 2048, 333}[c%4], len(band)-i)
+					if _, err := e.Push("w", band[i:i+n]); err != nil {
+						t.Fatal(err)
+					}
+					i += n
+				}
+				if _, err := e.RemoveChannel("w", 10*time.Second); err != nil {
+					t.Fatal(err)
+				}
+				if err := e.Close(); err != nil {
+					t.Fatal(err)
+				}
+				var decs []Decision
+				for d := range e.Decisions() {
+					decs = append(decs, d)
+				}
+				if len(decs) != 4 {
+					t.Fatalf("%d decisions, want 3 windows plus the flushed partial", len(decs))
+				}
+				for w, d := range decs {
+					lo, hi := w*window, min((w+1)*window, len(band))
+					if cumulative {
+						lo = 0
+					}
+					if d.WindowSamples != hi-lo {
+						t.Fatalf("decision %d covers %d samples, want %d", w, d.WindowSamples, hi-lo)
+					}
+					surface, _, err := est.Estimate(band[lo:hi])
+					if err != nil {
+						t.Fatal(err)
+					}
+					want, err := detect.CFDStatistic(surface, 2)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if d.Statistic != want {
+						t.Fatalf("decision %d statistic %v != batch %v over samples [%d, %d)",
+							w, d.Statistic, want, lo, hi)
+					}
+				}
+			})
+		}
+	}
+}
