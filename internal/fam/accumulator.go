@@ -18,21 +18,22 @@ import (
 // power of two of channelizer hops, the SSCA strip FFT spans the largest
 // power of two of samples — so a naive running sum over *all* arrived
 // hops would diverge from the batch result whenever the hop count is not
-// a power of two. The two accumulators resolve this differently:
+// a power of two. Both accumulators keep running sums in arrival order
+// and *checkpoint* them every time the hop count reaches a power of two;
+// Snapshot reads the latest checkpoint, which by construction is the sum
+// over exactly the batch prefix, so the state is fixed-size however long
+// the stream:
 //
-//   - FAM keeps per-cell running sums in arrival order and *checkpoints*
-//     them every time the hop count reaches a power of two; Snapshot
-//     reads the latest checkpoint, which by construction is the sum over
-//     exactly the first pow2floor(hops) hops — the batch prefix.
-//   - The SSCA accumulates the cheap part incrementally (the per-sample
-//     channelizer and conjugate product, the O(n·K·logK) bulk of the
-//     work) into per-channel product strips, and defers only the strip
-//     FFTs — O(strips·N·logN) — to Snapshot, where N is known.
+//   - FAM sums each cell's products over the first pow2floor(hops) hops.
+//   - The SSCA folds each needed channel's conjugate products modulo K —
+//     all a strip transform needs (see SSCA) — checkpointing at powers of
+//     two >= K, and Snapshot runs the K-point strip transforms over the
+//     checkpoint.
 //
 // Both also implement scf.WindowBounder. In windowed serving the stream
 // engine resets an accumulator every n samples, so no snapshot reads
 // past the prefix a full n-sample window smooths: the FAM folds only its
-// first pow2floor((n-K)/Hop+1) hops, the SSCA extends its strips only to
+// first pow2floor((n-K)/Hop+1) hops, the SSCA folds only the first
 // pow2floor(n-K+1) positions, and the rest of each window is counted,
 // not processed. A cumulative stream has no such bound — the prefix
 // keeps growing with it — so every arriving hop is processed.
@@ -280,13 +281,11 @@ func (f *famAccumulator) Reset() {
 }
 
 // NewAccumulator implements scf.StreamingEstimator. With N set the
-// accumulator's state is bounded (it stops extending its strips at N
-// hops and every snapshot transforms exactly those); with N zero the
-// strips grow with the stream — about (4M-3)·16 bytes per sample — and
-// each snapshot spans the largest power-of-two prefix, so long-running
-// monitors should either set N or reset the accumulator between windows
-// (the stream engine's windowed mode does the latter). Workers is
-// ignored, as for FAM.
+// accumulator stops folding at N hops and every snapshot transforms
+// exactly those; with N zero each snapshot spans the largest power-of-two
+// prefix of the stream. Either way the state is a K×channels fold and its
+// checkpoint (about 2 MB at K=256, M=64), whatever the stream length.
+// Workers is ignored, as for FAM.
 func (e SSCA) NewAccumulator() (scf.Accumulator, error) {
 	p := famDefaults(e.Params, 1)
 	p.Hop = 1
@@ -316,8 +315,11 @@ func (e SSCA) NewAccumulator() (scf.Accumulator, error) {
 	if err != nil {
 		return nil, err
 	}
-	a := &sscaAccumulator{p: p, nFixed: e.N, plan: plan, roots: roots, win: win}
-	a.init()
+	a := &sscaAccumulator{p: p, nFixed: e.N, plan: plan, roots: roots, win: win, bound: capHops(e.N)}
+	a.rowAlphas, a.needed = sscaLayout(p)
+	a.fold = make([]complex128, p.K*len(a.needed))
+	a.ck = make([]complex128, len(a.fold))
+	a.spec = make([]complex128, p.K)
 	return a, nil
 }
 
@@ -325,13 +327,14 @@ var _ scf.StreamingEstimator = SSCA{}
 
 // sscaAccumulator is the incremental SSCA. Every arriving sample
 // completes one more position of the unit-hop channelizer; the
-// accumulator runs the K-point FFT, downconverts, and multiplies each
-// addressed channel by the conjugate centre-aligned input sample —
-// exactly the product sequence batch stripInto builds — appending one
-// entry per needed channel per sample. Snapshot performs the N-point
-// strip FFTs over the prefix of length N = pow2floor(hops) (or the fixed
-// N), applies the group-delay phase correction and fills the surface,
-// line for line the batch tail of SSCA.Estimate.
+// accumulator runs the K-point FFT, downconverts, multiplies each
+// addressed channel by the conjugate centre-aligned input sample — the
+// product batch SSCA.Estimate forms — and adds it into fold row
+// hops mod K, in the same hop order as the batch fold. At each
+// power-of-two hop count >= K the fold is copied to the checkpoint, which
+// by construction is the batch fold of exactly that prefix; Snapshot
+// finishes it with the batch strip stage, so the surfaces are
+// bit-identical.
 type sscaAccumulator struct {
 	p      scf.Params
 	nFixed int
@@ -339,68 +342,27 @@ type sscaAccumulator struct {
 	roots  []complex128
 	win    []float64
 
-	rowAlphas []int          // surface rows to fill: all of [-m, m], or the candidate set
-	needed    []int          // addressed channel indices, batch order
-	rotIdx    []int          // per needed channel: running derotation index (v·hops mod K)
-	prods     [][]complex128 // per needed channel: product sequence, one entry per hop
-	hops      int
-	bound     hopBound // strips stop at the fixed N or a declared window's strip length
+	rowAlphas []int // surface rows to fill: all of [-m, m], or the candidate set
+	needed    []int // addressed channel indices, batch order
+	// fold is the running K×len(needed) fold of every hop (row r holds
+	// the products of hops r, r+K, ...); ck is fold as it stood at the
+	// last power-of-two hop count >= K — stripLen's, by construction.
+	fold, ck []complex128
+	hops     int
+	bound    hopBound // folding stops at the fixed N or a declared window's strip length
 
-	buf      []complex128
+	buf      []complex128 // unprocessed stream tail; buf[0] is sample bufStart
 	bufStart int
 	total    int
 
 	spec, winbuf []complex128
 }
 
-func (s *sscaAccumulator) init() {
-	m := s.p.M - 1
-	s.rowAlphas = s.p.SurfaceAlphas()
-	if s.rowAlphas == nil {
-		s.rowAlphas = make([]int, 2*m+1)
-		for i := range s.rowAlphas {
-			s.rowAlphas[i] = i - m
-		}
-	}
-	// Only the channels the held rows address get strips: the residues
-	// f+a mod K per row a — the full [-2m, 2m] band, or the candidate
-	// strips under alpha pruning.
-	seen := make([]bool, s.p.K)
-	for _, a := range s.rowAlphas {
-		for f := -m; f <= m; f++ {
-			if k := fft.BinIndex(s.p.K, f+a); !seen[k] {
-				seen[k] = true
-				s.needed = append(s.needed, k)
-			}
-		}
-	}
-	s.rotIdx = make([]int, len(s.needed))
-	s.prods = make([][]complex128, len(s.needed))
-	s.bound = capHops(s.nFixed)
-	s.reserve()
-	s.spec = make([]complex128, s.p.K)
-}
-
-// reserve sizes every product strip for the hop cap, when there is one,
-// so the steady-state Push loop never reallocates a product slice.
-func (s *sscaAccumulator) reserve() {
-	n := s.bound.limit
-	if n == 0 || cap(s.prods[0]) >= n {
-		return
-	}
-	cells := make([]complex128, 0, len(s.needed)*n)
-	for i, p := range s.prods {
-		s.prods[i] = append(cells[:0:n], p...)
-		cells = cells[n:n]
-	}
-}
-
 // BoundWindow implements scf.WindowBounder: a snapshot within an
 // n-sample window spans at most the strip length n-K+1 positions afford,
-// so the strips stop there.
+// so the fold stops there.
 func (s *sscaAccumulator) BoundWindow(n int) {
 	s.bound.setWindow(n, sscaStripLen(s.p.K, s.nFixed, n-s.p.K+1))
-	s.reserve()
 }
 
 // Name implements scf.Accumulator.
@@ -422,28 +384,28 @@ func (s *sscaAccumulator) Push(samples []complex128) error {
 		return err
 	}
 	s.total += len(samples)
-	if s.bound.reached(s.hops) {
-		return nil
-	}
-	s.buf = append(s.buf, samples...)
-	k := s.p.K
-	centre := k / 2
+	k, nn := s.p.K, len(s.needed)
+	centre, mask := k/2, k-1
 	for {
-		start := s.hops // unit hop: hop m starts at sample m
 		if s.bound.reached(s.hops) {
-			// Strips are complete; later samples can only be discarded
-			// (every snapshot spans the first limit hops). Drop
-			// everything so memory stays flat; bufStart advances to the
-			// absolute index of the next sample to arrive.
-			s.buf = s.buf[:0]
-			s.bufStart = s.total
+			// Every position a snapshot spans is folded; later samples
+			// are only counted.
+			s.buf, s.bufStart = s.buf[:0], s.total
 			return nil
 		}
+		start := s.hops // unit hop: hop m starts at sample m
 		if s.bufStart+len(s.buf) < start+k {
-			// Keep only the K-1 overlap tail the next hop reads
-			// (compacting once per push keeps the cost linear).
+			// Keep only the K-1 overlap tail the next hop reads, then
+			// take at most K more samples: the buffer stays under 2K
+			// samples whatever the chunk size.
 			s.buf, s.bufStart = scf.TrimBefore(s.buf, s.bufStart, start)
-			return nil
+			if len(samples) == 0 {
+				return nil
+			}
+			n := min(len(samples), k)
+			s.buf = append(s.buf, samples[:n]...)
+			samples = samples[n:]
+			continue
 		}
 		block := s.buf[start-s.bufStart : start-s.bufStart+k]
 		if s.win != nil {
@@ -458,22 +420,12 @@ func (s *sscaAccumulator) Push(samples []complex128) error {
 		if err := s.plan.Forward(s.spec, block); err != nil {
 			return err
 		}
-		// The conjugate centre-aligned factor of this strip position.
 		xc := cmplx.Conj(s.buf[start-s.bufStart+centre])
-		// Downconvert only the needed channels and append their product
-		// entries. The derotation exponent (start·v) mod k advances by
-		// exactly v per unit hop, so each channel carries a running table
-		// index (rotIdx) instead of recomputing the v·start product — and
-		// the spec/roots/prods headers are hoisted out of the per-channel
-		// loop so nothing is reloaded per iteration.
-		spec, roots, prods, rot := s.spec, s.roots, s.prods, s.rotIdx
-		mask := k - 1
-		for i, v := range s.needed {
-			idx := rot[i]
-			prods[i] = append(prods[i], spec[v]*roots[idx]*xc)
-			rot[i] = (idx + v) & mask
-		}
+		foldHop(s.fold[(start&mask)*nn:], s.spec, s.roots, s.needed, start, xc)
 		s.hops++
+		if s.hops >= k && s.hops&(s.hops-1) == 0 {
+			copy(s.ck, s.fold)
+		}
 	}
 }
 
@@ -487,53 +439,16 @@ func (s *sscaAccumulator) Snapshot() (*scf.Surface, *scf.Stats, error) {
 		}
 		return nil, nil, needSamples("SSCA", need, s.total)
 	}
-	planN, err := fft.PlanFor(n)
-	if err != nil {
-		return nil, nil, err
-	}
-	rootsN, err := fft.Roots(n)
-	if err != nil {
-		return nil, nil, err
-	}
-	centre := s.p.K / 2
-	m := s.p.M - 1
-	strips := make([][]complex128, s.p.K)
-	scells := make([]complex128, len(s.needed)*n)
-	for i, k := range s.needed {
-		u := scells[:n]
-		scells = scells[n:]
-		if err := planN.Forward(u, s.prods[i][:n]); err != nil {
-			return nil, nil, err
-		}
-		derotate(u, rootsN, centre)
-		strips[k] = u
-	}
-	sf := scf.NewSurfaceFor(s.p)
-	inv := complex(1/float64(n), 0)
-	for i, a := range s.rowAlphas {
-		row := sf.Data[i]
-		for f := -m; f <= m; f++ {
-			u := strips[fft.BinIndex(s.p.K, f+a)]
-			q := fft.BinIndex(n, n/s.p.K*(a-f))
-			row[f+m] = u[q] * inv
-		}
-	}
-	stats := &scf.Stats{
-		Blocks:    n,
-		FFTMults:  n*fft.ComplexMults(s.p.K) + len(s.needed)*fft.ComplexMults(n),
-		DSCFMults: n*s.p.K + len(s.needed)*n,
-	}
-	return sf, stats, nil
+	// stripLen is the last power of two >= K the hop count reached (or
+	// the fixed N, itself one), so the checkpoint holds exactly its fold.
+	outBuf := fft.GetScratch(len(s.ck))
+	defer fft.PutScratch(outBuf)
+	return sscaSurface(s.p, s.rowAlphas, s.needed, s.ck, *outBuf, n, 1)
 }
 
 // Reset implements scf.Accumulator.
 func (s *sscaAccumulator) Reset() {
-	for i := range s.prods {
-		s.prods[i] = s.prods[i][:0]
-	}
-	for i := range s.rotIdx {
-		s.rotIdx[i] = 0
-	}
+	clear(s.fold)
 	s.hops = 0
 	s.buf = s.buf[:0]
 	s.bufStart = 0

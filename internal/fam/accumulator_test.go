@@ -205,10 +205,8 @@ func TestSSCAAccumulatorFixedNBounded(t *testing.T) {
 	}
 	requireIdentical(t, got, want, "overfed fixed-N snapshot")
 	sa := acc.(*sscaAccumulator)
-	for i := range sa.prods {
-		if len(sa.prods[i]) != 128 {
-			t.Fatalf("strip %d grew to %d entries (want exactly N=128)", i, len(sa.prods[i]))
-		}
+	if sa.hops != 128 || len(sa.buf) != 0 {
+		t.Fatalf("folded %d positions and kept %d samples (want exactly N=128 and none)", sa.hops, len(sa.buf))
 	}
 }
 

@@ -7,7 +7,7 @@ import (
 	"tiledcfd/internal/scf"
 )
 
-// channelize computes the shared FAM/SSCA front end: blocks hops of a
+// channelize computes the FAM front end: blocks hops of a
 // k-point windowed FFT over x, hop samples apart, each channel
 // downconverted to baseband with the absolute-time phase reference
 // e^{-j2π·v·start/k}. The result is per-channel time series:
@@ -19,6 +19,8 @@ import (
 // The per-hop loop allocates nothing: the plan and the downconversion
 // table come from the process-wide fft cache and the FFT/window scratch
 // buffers are pooled. Only the output backing array is allocated per call.
+// (The SSCA runs the same unit-hop front end fused with its strip fold,
+// in SSCA.Estimate, and never materialises the channel matrix.)
 func channelize(x []complex128, k, hop, blocks int, win []float64) ([][]complex128, error) {
 	if win != nil && len(win) != k {
 		return nil, fmt.Errorf("fam: window length %d != channelizer size %d", len(win), k)

@@ -34,7 +34,9 @@
 // on the small (2M-1)² grid. Stats always report this canonical model;
 // the implementation itself shortcuts where the algebra allows (FAM
 // evaluates each cell's bin 0 as an O(P) dot product and mirrors the
-// α < 0 half-plane by exact Hermitian symmetry) — see the README's
+// α < 0 half-plane by exact Hermitian symmetry; SSCA folds each strip's
+// products modulo K and computes the K strip bins the grid reads — all
+// multiples of N/K — with one K-point FFT) — see the README's
 // model-vs-measured note.
 //
 // Estimates agree with the direct method at grid points up to the

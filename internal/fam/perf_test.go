@@ -161,21 +161,48 @@ func TestFAMGoldenMatchesPreOptimization(t *testing.T) {
 	}
 }
 
+// TestSSCAGoldenMatchesPreOptimization: the folded K-point strips match
+// the pre-optimization N-point strips to rounding, across explicit and
+// derived strip lengths (N = K up to N = 1024), the paper geometry, a
+// Hamming window and an alpha-pruned row set (whose held rows must match
+// the reference's).
 func TestSSCAGoldenMatchesPreOptimization(t *testing.T) {
 	const n = 2048
 	x := goldenBand(n, 8)
-	for _, p := range []scf.Params{
-		{K: 64, M: 16},
-		{K: 64, M: 16, Window: fft.Hamming},
+	for _, tc := range []struct {
+		p scf.Params
+		n int // explicit strip length; 0 derives it from the input
+	}{
+		{scf.Params{K: 64, M: 16}, 1024},
+		{scf.Params{K: 64, M: 16, Window: fft.Hamming}, 1024},
+		{scf.Params{K: 64, M: 16}, 64},
+		{scf.Params{K: 256, M: 64}, 0},
+		{scf.Params{K: 256, M: 64}, 256},
+		{scf.Params{K: 256, M: 64, Window: fft.Hamming}, 1024},
+		{scf.Params{K: 64, M: 16, AlphaCandidates: []int{3, 8, 10}}, 1024},
+		{scf.Params{K: 256, M: 64, AlphaCandidates: []int{0, 16, 40}, Window: fft.Hamming}, 0},
 	} {
-		want := sscaReference(t, x, p, 1024)
-		got, _, err := SSCA{Params: p, N: 1024, Workers: 1}.Estimate(x)
+		strip := tc.n
+		if strip == 0 {
+			strip = pow2Floor(n - tc.p.K + 1)
+		}
+		want := sscaReference(t, x, tc.p, strip)
+		got, _, err := SSCA{Params: tc.p, N: tc.n, Workers: 1}.Estimate(x)
 		if err != nil {
 			t.Fatal(err)
 		}
 		tol := 1e-12 * (1 + surfacePeak(want))
-		if d := scf.MaxAbsDiff(got, want); d > tol {
-			t.Errorf("K=%d M=%d: optimized SSCA differs from pre-optimization surface by %g (tol %g)", p.K, p.M, d, tol)
+		d := 0.0
+		for _, a := range got.AlphaValues() {
+			for f, v := range got.Row(a) {
+				d = math.Max(d, cmplx.Abs(v-want.Row(a)[f]))
+			}
+		}
+		if got.Pruned() != (tc.p.AlphaCandidates != nil) {
+			t.Errorf("%+v: pruned surface = %v", tc.p, got.Pruned())
+		}
+		if d > tol {
+			t.Errorf("%+v N=%d: optimized SSCA differs from pre-optimization surface by %g (tol %g)", tc.p, strip, d, tol)
 		}
 	}
 }

@@ -12,10 +12,19 @@ import (
 
 // SSCA is the Strip Spectral Correlation Analyzer estimator: a K-point
 // channelizer sliding one sample at a time, each channel demodulate
-// multiplied against the conjugate full-rate input, and one N-point
-// strip FFT per channel. Channel k, strip bin q estimates the SCF at
-// frequency f = k/(2K) - q/(2N) and cycle frequency α = k/K + q/N;
-// surface cell (f, a) reads channel k = f+a at bin q = N·(a-f)/K.
+// multiplied against the conjugate full-rate input, and one strip
+// transform per channel. Channel k, strip bin q of the N-point strip FFT
+// estimates the SCF at frequency f = k/(2K) - q/(2N) and cycle frequency
+// α = k/K + q/N; surface cell (f, a) reads channel k = f+a at bin
+// q = N·(a-f)/K.
+//
+// Every bin the grid reads is a multiple of N/K, and those K bins of an
+// N-point FFT are exactly the K-point FFT of the product sequence folded
+// modulo K (fold[r] = Σ_j prod[r+j·K]). So each channel's products are
+// summed into a K-point fold as the channelizer slides, and each strip
+// costs one K-point transform of its fold — never the full N-point one.
+// Stats still bills the canonical N-point strips, so the modeled
+// complexity is the textbook SSCA's.
 //
 // The strip length N must be a power of two and a multiple of K so that
 // every grid cell lands exactly on a strip bin; both hold automatically
@@ -27,7 +36,7 @@ type SSCA struct {
 	// window. Hop and Blocks are ignored: the SSCA channelizer advances
 	// one sample per hop and smooths over the whole strip.
 	Params scf.Params
-	// N is the strip FFT length (power of two >= K). Zero selects the
+	// N is the strip length (power of two >= K). Zero selects the
 	// largest power of two with N+K-1 <= len(x).
 	N int
 	// Workers bounds the goroutines computing strips concurrently.
@@ -80,50 +89,87 @@ func (e SSCA) Estimate(x []complex128) (*scf.Surface, *scf.Stats, error) {
 			return nil, nil, err
 		}
 	}
-	ch, err := channelize(x, p.K, 1, n, win)
+	plan, err := fft.PlanFor(p.K)
 	if err != nil {
 		return nil, nil, err
 	}
-	planN, err := fft.PlanFor(n)
+	roots, err := fft.Roots(p.K)
 	if err != nil {
 		return nil, nil, err
 	}
-	roots, err := fft.Roots(n)
-	if err != nil {
-		return nil, nil, err
+	rowAlphas, needed := sscaLayout(p)
+	k, nn := p.K, len(needed)
+	foldBuf := fft.GetScratch(k * nn)
+	defer fft.PutScratch(foldBuf)
+	fold := *foldBuf
+	clear(fold)
+	specBuf := fft.GetScratch(k)
+	defer fft.PutScratch(specBuf)
+	spec := *specBuf
+	var winbuf []complex128
+	if win != nil {
+		winBuf := fft.GetScratch(k)
+		defer fft.PutScratch(winBuf)
+		winbuf = *winBuf
 	}
-	// One strip per channel the grid addresses: strip k is the N-point
-	// FFT of x_k(m)·conj(x(m+K/2)). The conjugate factor is aligned with
-	// the channelizer window centre so the kernel's group-delay phase
-	// e^{j2πδ(K-1)/2} is constant along each strip bin's diagonal instead
-	// of rotating in-bin contributions into cancellation; the residual
-	// per-bin constant e^{j2πq(K/2)/N} is divided out — by indexing the
-	// cached roots table — to keep cell phases aligned with the direct
-	// method. The conjugated centre-shifted input is shared by every
-	// strip, so it is formed once here rather than per strip.
-	centre := p.K / 2
-	xc := make([]complex128, n)
-	for i := range xc {
-		xc[i] = cmplx.Conj(x[i+centre])
+	// The unit-hop channelizer fused with the fold: hop h is windowed and
+	// transformed, each needed channel v is downconverted with the
+	// absolute-time reference e^{-j2π·v·h/K} and multiplied by the
+	// conjugate input at the window centre, and the product lands in fold
+	// row h mod K. The centre alignment keeps the kernel's group-delay
+	// phase e^{j2πδ(K-1)/2} constant along each strip bin's diagonal
+	// instead of rotating in-bin contributions into cancellation;
+	// sscaSurface divides the residual per-bin constant out.
+	centre, mask := k/2, k-1
+	for h := 0; h < n; h++ {
+		block := x[h : h+k]
+		if win != nil {
+			if err := fft.ApplyWindowInto(winbuf, block, win); err != nil {
+				return nil, nil, err
+			}
+			block = winbuf
+		}
+		if err := plan.Forward(spec, block); err != nil {
+			return nil, nil, err
+		}
+		foldHop(fold[(h&mask)*nn:], spec, roots, needed, h, cmplx.Conj(x[h+centre]))
 	}
+	workers := e.Workers
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	return sscaSurface(p, rowAlphas, needed, fold, fold, n, workers)
+}
+
+// foldHop adds unit hop h's products to its fold row: channel needed[i],
+// downconverted from spec with the absolute-time reference
+// e^{-j2π·v·h/K} (roots is the K-point table), times the conjugate
+// centre sample xc. Batch and streaming SSCA both fold through here, so
+// their products round identically.
+func foldHop(row, spec, roots []complex128, needed []int, h int, xc complex128) {
+	row = row[:len(needed)]
+	mask := len(roots) - 1
+	for i, v := range needed {
+		row[i] += spec[v] * roots[(h*v)&mask] * xc
+	}
+}
+
+// sscaLayout returns the surface rows an SSCA parameter set holds — all
+// of [-m, m], or the candidate set (±a plus 0) under alpha pruning — and
+// the channels those rows address, the residues f+a mod K, in first-use
+// order. SSCA computes each row directly (its strips are not
+// Hermitian-mirrorable), so pruning keeps both signs explicitly, and only
+// strips whose cycle frequencies meet a held row are ever computed.
+func sscaLayout(p scf.Params) (rowAlphas, needed []int) {
 	m := p.M - 1
-	// The rows the surface holds: all of [-m, m], or the candidate set
-	// (±a plus 0) when alpha pruning is on. SSCA computes each row
-	// directly — its strips are not Hermitian-mirrorable — so pruning
-	// keeps both signs explicitly.
-	rowAlphas := p.SurfaceAlphas()
+	rowAlphas = p.SurfaceAlphas()
 	if rowAlphas == nil {
 		rowAlphas = make([]int, 2*m+1)
 		for i := range rowAlphas {
 			rowAlphas[i] = i - m
 		}
 	}
-	// The held rows address channels k = f+a for f in [-m, m]: every
-	// residue of [a-m, a+m] mod K per row a, computed up front so the
-	// independent strips can be fanned out across bounded workers. With
-	// pruning only the strips whose cycle frequencies intersect the
-	// candidate rows are ever computed.
-	needed := make([]int, 0, 4*m+1)
+	needed = make([]int, 0, 4*m+1)
 	seen := make([]bool, p.K)
 	for _, a := range rowAlphas {
 		for f := -m; f <= m; f++ {
@@ -133,39 +179,56 @@ func (e SSCA) Estimate(x []complex128) (*scf.Surface, *scf.Stats, error) {
 			}
 		}
 	}
-	strips := make([][]complex128, p.K)
-	scells := make([]complex128, len(needed)*n)
-	for _, k := range needed {
-		strips[k], scells = scells[:n], scells[n:]
+	return rowAlphas, needed
+}
+
+// sscaSurface finishes an SSCA estimate over n strip positions from the
+// folded products: fold holds K rows of len(needed) cells, row r column i
+// being Σ_j prod_i[r+j·K] for channel needed[i]. Each column's K-point
+// FFT is bins (N/K)·p of that channel's N-point strip, p = 0..K-1; the
+// per-bin centre-shift phase is divided out with the K-point roots table
+// (Roots(N)[(N/K)·j] and Roots(K)[j] are the same float64). out receives
+// the strip bins in fold's layout and may be fold itself. Strips fan out
+// over workers, each computed by exactly one, so every worker count gives
+// bit-identical surfaces.
+func sscaSurface(p scf.Params, rowAlphas, needed []int, fold, out []complex128, n, workers int) (*scf.Surface, *scf.Stats, error) {
+	k, nn := p.K, len(needed)
+	plan, err := fft.PlanFor(k)
+	if err != nil {
+		return nil, nil, err
 	}
-	workers := e.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
+	roots, err := fft.Roots(k)
+	if err != nil {
+		return nil, nil, err
 	}
-	if workers > len(needed) {
-		workers = len(needed)
-	}
-	stripInto := func(k int, prod []complex128) error {
-		cs := ch[k]
-		for i := 0; i < n; i++ {
-			prod[i] = cs[i] * xc[i]
+	centre := k / 2
+	// strip transforms column i; buf holds 2K scratch cells. The FFT
+	// runs out of place so its bit-reversal folds into the input gather.
+	strip := func(i int, buf []complex128) error {
+		col, u := buf[:k], buf[k:]
+		for r := range col {
+			col[r] = fold[r*nn+i]
 		}
-		u := strips[k]
-		if err := planN.Forward(u, prod); err != nil {
+		if err := plan.Forward(u, col); err != nil {
 			return err
 		}
 		derotate(u, roots, centre)
+		for r, v := range u {
+			out[r*nn+i] = v
+		}
 		return nil
 	}
+	if workers > nn {
+		workers = nn
+	}
 	if workers <= 1 {
-		prodBuf := fft.GetScratch(n)
-		for _, k := range needed {
-			if err := stripInto(k, *prodBuf); err != nil {
-				fft.PutScratch(prodBuf)
+		buf := fft.GetScratch(2 * k)
+		defer fft.PutScratch(buf)
+		for i := range needed {
+			if err := strip(i, *buf); err != nil {
 				return nil, nil, err
 			}
 		}
-		fft.PutScratch(prodBuf)
 	} else {
 		errs := make([]error, workers)
 		var wg sync.WaitGroup
@@ -173,10 +236,10 @@ func (e SSCA) Estimate(x []complex128) (*scf.Surface, *scf.Stats, error) {
 			wg.Add(1)
 			go func(w int) {
 				defer wg.Done()
-				prodBuf := fft.GetScratch(n)
-				defer fft.PutScratch(prodBuf)
-				for i := w; i < len(needed); i += workers {
-					if err := stripInto(needed[i], *prodBuf); err != nil {
+				buf := fft.GetScratch(2 * k)
+				defer fft.PutScratch(buf)
+				for i := w; i < nn; i += workers {
+					if err := strip(i, *buf); err != nil {
 						errs[w] = err
 						return
 					}
@@ -190,20 +253,24 @@ func (e SSCA) Estimate(x []complex128) (*scf.Surface, *scf.Stats, error) {
 			}
 		}
 	}
+	col := make([]int, k) // channel -> column of out
+	for i, v := range needed {
+		col[v] = i
+	}
 	s := scf.NewSurfaceFor(p)
 	inv := complex(1/float64(n), 0)
+	m := p.M - 1
 	for i, a := range rowAlphas {
 		row := s.Data[i]
 		for f := -m; f <= m; f++ {
-			u := strips[fft.BinIndex(p.K, f+a)]
-			q := fft.BinIndex(n, n/p.K*(a-f))
-			row[f+m] = u[q] * inv
+			q := fft.BinIndex(k, a-f)
+			row[f+m] = out[q*nn+col[fft.BinIndex(k, f+a)]] * inv
 		}
 	}
 	stats := &scf.Stats{
 		Blocks:    n,
-		FFTMults:  n*fft.ComplexMults(p.K) + len(needed)*fft.ComplexMults(n),
-		DSCFMults: n*p.K + len(needed)*n,
+		FFTMults:  n*fft.ComplexMults(k) + nn*fft.ComplexMults(n),
+		DSCFMults: n*k + nn*n,
 	}
 	return s, stats, nil
 }

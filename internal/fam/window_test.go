@@ -1,6 +1,8 @@
 package fam
 
 import (
+	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -126,9 +128,9 @@ func TestBoundedAccumulatorsMatchBatch(t *testing.T) {
 					requireSameStats(t, gotStats, wantStats)
 				}
 				sa := acc.(*sscaAccumulator)
-				if n := sscaStripLen(k, 0, window-k+1); sa.hops != n || cap(sa.prods[0]) != n {
-					t.Fatalf("window %d: %d strip positions, capacity %d; want %d of each",
-						window, sa.hops, cap(sa.prods[0]), n)
+				if n := sscaStripLen(k, 0, window-k+1); sa.hops != n || len(sa.buf) != 0 {
+					t.Fatalf("window %d: folded %d strip positions and kept %d samples; want %d and none",
+						window, sa.hops, len(sa.buf), n)
 				}
 			}
 		}
@@ -236,5 +238,77 @@ func TestFAMAccumulatorPushAllocs(t *testing.T) {
 		if a := testing.AllocsPerRun(40, push); a != 0 {
 			t.Fatalf("bounded=%v: Push allocates %.1f times per 2048-sample chunk", bounded, a)
 		}
+	}
+}
+
+// TestSSCAAccumulatorPushAllocs: a steady-state 2048-sample Push of the
+// streaming SSCA allocates nothing, cumulative or bounded to a window.
+func TestSSCAAccumulatorPushAllocs(t *testing.T) {
+	const window, chunk = 16384, 2048
+	x := streamBand(t, chunk, 37)
+	for _, bounded := range []bool{false, true} {
+		acc, err := SSCA{Params: scf.Params{K: 256, M: 64, Window: fft.Hamming}}.NewAccumulator()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if bounded {
+			acc.(scf.WindowBounder).BoundWindow(window)
+		}
+		push := func() {
+			if bounded && acc.Samples()+chunk > window {
+				acc.Reset()
+			}
+			if err := acc.Push(x); err != nil {
+				t.Fatal(err)
+			}
+		}
+		push() // first push sizes the pending-tail buffer and window scratch
+		if a := testing.AllocsPerRun(20, push); a != 0 {
+			t.Fatalf("bounded=%v: Push allocates %.1f times per 2048-sample chunk", bounded, a)
+		}
+	}
+}
+
+// TestSSCAAccumulatorCumulativeFlat: a cumulative streaming SSCA keeps a
+// fixed-size state however long the stream — pushing 64K+ samples
+// allocates next to nothing, where per-sample product strips would grow
+// by about a kilobyte a sample at this geometry — and its snapshot at
+// every power-of-two strip length equals batch Estimate over that prefix.
+func TestSSCAAccumulatorCumulativeFlat(t *testing.T) {
+	const k, last = 64, 1 << 16
+	e := SSCA{Params: scf.Params{K: k, M: 16}}
+	x := streamBand(t, last+k-1, 38)
+	acc, err := e.NewAccumulator()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var pushed uint64
+	var ms runtime.MemStats
+	done := 0
+	for n := k; n <= last; n *= 2 {
+		cut := n + k - 1
+		runtime.ReadMemStats(&ms)
+		before := ms.TotalAlloc
+		pushChunks(t, acc, x[done:cut], []int{1000})
+		runtime.ReadMemStats(&ms)
+		pushed += ms.TotalAlloc - before
+		done = cut
+		got, gotStats, err := acc.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, wantStats, err := e.Estimate(x[:cut])
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireIdentical(t, got, want, fmt.Sprintf("cumulative snapshot at N=%d", n))
+		requireSameStats(t, gotStats, wantStats)
+	}
+	sa := acc.(*sscaAccumulator)
+	if cap(sa.buf) > 4*k {
+		t.Fatalf("pending buffer grew to %d samples", cap(sa.buf))
+	}
+	if pushed > 256<<10 {
+		t.Fatalf("pushing %d samples allocated %d bytes; the state should stay flat", len(x), pushed)
 	}
 }

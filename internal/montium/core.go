@@ -27,8 +27,12 @@ type Core struct {
 	// Mem holds M01..M10 at indices 0..9.
 	Mem [NumMemories]*Memory
 
-	cycles  int64
-	ledger  map[string]int64
+	cycles int64
+	// ledger holds one entry per section ever begun, in first-use order;
+	// cur indexes the current section's entry (-1 outside any section),
+	// so tick adds to it without looking the name up.
+	ledger  []ledgerEntry
+	cur     int
 	section string
 
 	// MACs, Butterflies and Moves count the ALU operations retired.
@@ -49,9 +53,18 @@ type Core struct {
 	sectionStart int64
 }
 
+// ledgerEntry is one section's cycle count. ticked records whether any
+// cycle charge (even of zero cycles) reached it since the last
+// ResetCycles: only those sections are reported.
+type ledgerEntry struct {
+	name   string
+	cycles int64
+	ticked bool
+}
+
 // NewCore builds an idle core with zeroed memories.
 func NewCore(id int) *Core {
-	c := &Core{ID: id, ledger: make(map[string]int64)}
+	c := &Core{ID: id, cur: -1}
 	for i := range c.Mem {
 		c.Mem[i] = &Memory{Name: fmt.Sprintf("M%02d", i+1)}
 	}
@@ -66,6 +79,23 @@ func (c *Core) BeginSection(name string) {
 	}
 	c.closeSpan()
 	c.section = name
+	c.cur = -1
+	if name != "" {
+		if c.cur = c.entry(name); c.cur < 0 {
+			c.cur = len(c.ledger)
+			c.ledger = append(c.ledger, ledgerEntry{name: name})
+		}
+	}
+}
+
+// entry returns the ledger index of the named section, or -1.
+func (c *Core) entry(name string) int {
+	for i := range c.ledger {
+		if c.ledger[i].name == name {
+			return i
+		}
+	}
+	return -1
 }
 
 // SetTracer attaches a span recorder under the given source name; pass
@@ -98,8 +128,10 @@ func (c *Core) closeSpan() {
 // tick advances the clock by n cycles within the current section.
 func (c *Core) tick(n int64) {
 	c.cycles += n
-	if c.section != "" {
-		c.ledger[c.section] += n
+	if c.cur >= 0 {
+		e := &c.ledger[c.cur]
+		e.cycles += n
+		e.ticked = true
 	}
 }
 
@@ -107,13 +139,20 @@ func (c *Core) tick(n int64) {
 func (c *Core) Cycles() int64 { return c.cycles }
 
 // CyclesIn returns the cycles attributed to a ledger section.
-func (c *Core) CyclesIn(section string) int64 { return c.ledger[section] }
+func (c *Core) CyclesIn(section string) int64 {
+	if i := c.entry(section); i >= 0 {
+		return c.ledger[i].cycles
+	}
+	return 0
+}
 
 // Sections lists the ledger sections in deterministic (sorted) order.
 func (c *Core) Sections() []string {
 	out := make([]string, 0, len(c.ledger))
-	for k := range c.ledger {
-		out = append(out, k)
+	for _, e := range c.ledger {
+		if e.ticked {
+			out = append(out, e.name)
+		}
 	}
 	sort.Strings(out)
 	return out
@@ -124,7 +163,9 @@ func (c *Core) Sections() []string {
 // are wanted.
 func (c *Core) ResetCycles() {
 	c.cycles = 0
-	c.ledger = make(map[string]int64)
+	for i := range c.ledger {
+		c.ledger[i].cycles, c.ledger[i].ticked = 0, false
+	}
 	c.MACs, c.Butterflies, c.Moves = 0, 0, 0
 }
 
@@ -142,7 +183,7 @@ func (c *Core) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Montium core %d: %d cycles", c.ID, c.cycles)
 	for _, s := range c.Sections() {
-		fmt.Fprintf(&b, "; %s=%d", s, c.ledger[s])
+		fmt.Fprintf(&b, "; %s=%d", s, c.CyclesIn(s))
 	}
 	return b.String()
 }

@@ -468,3 +468,31 @@ func indexStr(h, n string) int {
 	}
 	return -1
 }
+
+// TestMACStepAllocs: a steady-state MAC step of the paper's tile — the
+// chain shift, the T multiply-accumulates and the ledger charges —
+// allocates nothing.
+func TestMACStepAllocs(t *testing.T) {
+	c := configuredCore(t, 256, 64, 4, 1)
+	for _, run := range []func() error{
+		func() error { return c.LoadSamples(testSamples(5, 256)) },
+		c.RunFFT, c.RunReshuffle, c.RunInit,
+		func() error { return c.MACStep(0, fixed.Complex{}, fixed.Complex{}) },
+	} {
+		if err := run(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	step, f := 1, c.Config().F
+	in := fixed.Complex{Re: 1000, Im: -2000}
+	if a := testing.AllocsPerRun(100, func() {
+		if err := c.MACStep(step, in, in); err != nil {
+			t.Fatal(err)
+		}
+		if step++; step == f {
+			step = 1
+		}
+	}); a != 0 {
+		t.Fatalf("MACStep allocates %v times per step, want 0", a)
+	}
+}

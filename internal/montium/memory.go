@@ -34,10 +34,15 @@ type Memory struct {
 	Reads, Writes int64
 }
 
+// The accessors are small enough to inline into the kernels' inner
+// loops: one unsigned compare checks both address bounds, and a fault
+// only records its address — the message is formatted out of line, by
+// accessError.Error. Every access is still checked and counted.
+
 // Read returns the word at addr.
 func (m *Memory) Read(addr int) (Word, error) {
-	if addr < 0 || addr >= MemWords {
-		return 0, fmt.Errorf("montium: %s read address %d outside [0,%d)", m.Name, addr, MemWords)
+	if uint(addr) >= MemWords {
+		return 0, &accessError{m.Name, "read", addr}
 	}
 	m.Reads++
 	return m.data[addr], nil
@@ -45,8 +50,8 @@ func (m *Memory) Read(addr int) (Word, error) {
 
 // Write stores w at addr.
 func (m *Memory) Write(addr int, w Word) error {
-	if addr < 0 || addr >= MemWords {
-		return fmt.Errorf("montium: %s write address %d outside [0,%d)", m.Name, addr, MemWords)
+	if uint(addr) >= MemWords {
+		return &accessError{m.Name, "write", addr}
 	}
 	m.Writes++
 	m.data[addr] = w
@@ -56,23 +61,33 @@ func (m *Memory) Write(addr int, w Word) error {
 // ReadComplex reads the complex value stored at complex index idx
 // (interleaved re/im at words 2idx, 2idx+1).
 func (m *Memory) ReadComplex(idx int) (fixed.Complex, error) {
-	re, err := m.Read(2 * idx)
-	if err != nil {
-		return fixed.Complex{}, err
+	if uint(idx) >= MemWords/2 {
+		return fixed.Complex{}, &accessError{m.Name, "read", 2 * idx}
 	}
-	im, err := m.Read(2*idx + 1)
-	if err != nil {
-		return fixed.Complex{}, err
-	}
-	return fixed.Complex{Re: fixed.Q15(re), Im: fixed.Q15(im)}, nil
+	m.Reads += 2
+	return fixed.Complex{Re: fixed.Q15(m.data[2*idx]), Im: fixed.Q15(m.data[2*idx+1])}, nil
 }
 
 // WriteComplex stores c at complex index idx.
 func (m *Memory) WriteComplex(idx int, c fixed.Complex) error {
-	if err := m.Write(2*idx, Word(c.Re)); err != nil {
-		return err
+	if uint(idx) >= MemWords/2 {
+		return &accessError{m.Name, "write", 2 * idx}
 	}
-	return m.Write(2*idx+1, Word(c.Im))
+	m.Writes += 2
+	m.data[2*idx], m.data[2*idx+1] = Word(c.Re), Word(c.Im)
+	return nil
+}
+
+// accessError is an out-of-range access: the memory, the operation and
+// the word address (for a complex access, its real word — the first the
+// access touches).
+type accessError struct {
+	mem, op string
+	addr    int
+}
+
+func (e *accessError) Error() string {
+	return fmt.Sprintf("montium: %s %s address %d outside [0,%d)", e.mem, e.op, e.addr, MemWords)
 }
 
 // ComplexCapacity returns how many complex values fit in one memory.

@@ -42,6 +42,34 @@ func TestMemoryBounds(t *testing.T) {
 	if err := m.Write(MemWords, 0); err == nil {
 		t.Error("overflow write should fail")
 	}
+	// Complex accesses fail on their real word, the first they touch,
+	// with the word access's message; no failed access is counted.
+	for _, tc := range []struct {
+		name string
+		op   func() error
+		want string
+	}{
+		{"Read(-1)", func() error { _, err := m.Read(-1); return err },
+			"montium: M02 read address -1 outside [0,1024)"},
+		{"Write(MemWords)", func() error { return m.Write(MemWords, 0) },
+			"montium: M02 write address 1024 outside [0,1024)"},
+		{"ReadComplex(-1)", func() error { _, err := m.ReadComplex(-1); return err },
+			"montium: M02 read address -2 outside [0,1024)"},
+		{"ReadComplex(MemWords/2)", func() error { _, err := m.ReadComplex(MemWords / 2); return err },
+			"montium: M02 read address 1024 outside [0,1024)"},
+		{"WriteComplex(-1)", func() error { return m.WriteComplex(-1, fixed.Complex{Re: 1}) },
+			"montium: M02 write address -2 outside [0,1024)"},
+		{"WriteComplex(MemWords/2)", func() error { return m.WriteComplex(MemWords/2, fixed.Complex{Re: 1}) },
+			"montium: M02 write address 1024 outside [0,1024)"},
+	} {
+		err := tc.op()
+		if err == nil || err.Error() != tc.want {
+			t.Errorf("%s: error %v, want %q", tc.name, err, tc.want)
+		}
+	}
+	if m.Reads != 0 || m.Writes != 0 {
+		t.Errorf("failed accesses counted: %d reads, %d writes", m.Reads, m.Writes)
+	}
 }
 
 func TestMemoryComplexInterleave(t *testing.T) {
@@ -59,6 +87,10 @@ func TestMemoryComplexInterleave(t *testing.T) {
 	got, err := m.ReadComplex(5)
 	if err != nil || got != c {
 		t.Fatalf("ReadComplex = %+v, %v", got, err)
+	}
+	// A complex access counts as its two word accesses.
+	if m.Reads != 4 || m.Writes != 2 {
+		t.Fatalf("counters %d/%d, want 4 reads and 2 writes", m.Reads, m.Writes)
 	}
 	if _, err := m.ReadComplex(ComplexCapacity()); err == nil {
 		t.Error("complex overflow should fail")
@@ -200,6 +232,41 @@ func TestCoreLedger(t *testing.T) {
 	c.ResetCycles()
 	if c.Cycles() != 0 || len(c.Sections()) != 0 {
 		t.Fatal("ResetCycles incomplete")
+	}
+}
+
+// TestCoreLedgerSections: the ledger keeps the map-like semantics the
+// reports rely on — any section name, a zero-cycle charge still lists
+// the section, cycles outside a section only reach the clock, and
+// ResetCycles empties the listing until a section is charged again.
+func TestCoreLedgerSections(t *testing.T) {
+	c := NewCore(0)
+	c.tick(4) // no section yet
+	c.BeginSection("custom stage")
+	c.tick(0)
+	c.BeginSection("begun, never charged")
+	c.BeginSection(SectionFFT)
+	c.tick(7)
+	c.BeginSection("custom stage")
+	c.tick(2)
+	if got := c.Sections(); len(got) != 2 || got[0] != SectionFFT || got[1] != "custom stage" {
+		t.Fatalf("sections %q", got)
+	}
+	if c.Cycles() != 13 || c.CyclesIn(SectionFFT) != 7 || c.CyclesIn("custom stage") != 2 || c.CyclesIn("absent") != 0 {
+		t.Fatalf("cycles %d, FFT %d, custom %d", c.Cycles(), c.CyclesIn(SectionFFT), c.CyclesIn("custom stage"))
+	}
+	if got, want := c.String(), "Montium core 0: 13 cycles; FFT=7; custom stage=2"; got != want {
+		t.Fatalf("String() = %q, want %q", got, want)
+	}
+	c.ResetCycles()
+	c.tick(1) // still inside "custom stage"
+	if got := c.Sections(); len(got) != 1 || got[0] != "custom stage" || c.CyclesIn("custom stage") != 1 || c.CyclesIn(SectionFFT) != 0 {
+		t.Fatalf("after reset: sections %q, custom %d, FFT %d", got, c.CyclesIn("custom stage"), c.CyclesIn(SectionFFT))
+	}
+	c.BeginSection("")
+	c.tick(5)
+	if c.Cycles() != 6 || len(c.Sections()) != 1 {
+		t.Fatalf("sectionless cycles: clock %d, sections %q", c.Cycles(), c.Sections())
 	}
 }
 
